@@ -127,34 +127,16 @@ pub fn min_max_ktours(
     k: usize,
     improvement_passes: usize,
 ) -> KTourSolution {
-    let n = dist.len();
-    if n == 0 {
-        assert!(k >= 1, "need at least one vehicle");
-        return KTourSolution { tours: vec![Vec::new(); k], max_delay: 0.0 };
-    }
-    // Closed tour over depot + nodes: extend the matrix with the depot as
-    // virtual node `n`.
-    let mut ext = vec![vec![0.0; n + 1]; n + 1];
-    for i in 0..n {
-        ext[i][..n].copy_from_slice(&dist[i]);
-        ext[i][n] = depot[i];
-        ext[n][i] = depot[i];
-    }
-    let mut tour = tsp::build_tour(&ext, improvement_passes);
-    // Rotate so the depot (virtual node n) is first, then drop it: the
-    // remainder is the Hamiltonian path we split.
-    let dpos = tour.iter().position(|&v| v == n).expect("depot in tour");
-    tour.rotate_left(dpos);
-    let order: Vec<usize> = tour[1..].to_vec();
-    min_max_ktours_along(dist, depot, service, k, &order)
+    min_max_ktours_with_matrix(dist, depot, service, k, improvement_passes)
 }
 
-/// [`min_max_ktours`] on any [`Metric`] (historically a memoized
-/// [`DistanceMatrix`]), avoiding the nested-matrix copy: the depot is
-/// appended as a virtual node via a borrowed [`VirtualNodeMetric`] view
-/// (same values, same index layout as
+/// [`min_max_ktours`] on any [`Metric`] (dense, on-demand, or nested):
+/// the depot is appended as a virtual node via a borrowed
+/// [`VirtualNodeMetric`] view (same values, same index layout as
 /// [`DistanceMatrix::with_virtual_node`], hence the same tour bit for
-/// bit).
+/// bit), and [`tsp::build_tour`] makes the one flat copy it searches.
+///
+/// [`DistanceMatrix::with_virtual_node`]: wrsn_geom::DistanceMatrix::with_virtual_node
 pub fn min_max_ktours_with_matrix<M: Metric + ?Sized>(
     dist: &M,
     depot: &[f64],

@@ -114,16 +114,6 @@ pub fn two_then_three_opt<M: Metric + ?Sized>(
     three_opt(dist, tour, max_passes);
 }
 
-/// [`three_opt`] on any [`Metric`] — historically a memoized
-/// [`DistanceMatrix`], now also on-demand (sparse) distance sources.
-pub fn three_opt_with_matrix<M: Metric + ?Sized>(
-    dist: &M,
-    tour: &mut Vec<usize>,
-    max_passes: usize,
-) {
-    three_opt(dist, tour, max_passes);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

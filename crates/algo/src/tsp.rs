@@ -6,7 +6,9 @@
 //! improvers:
 //!
 //! - [`nearest_neighbor`]: classic greedy, O(n²);
-//! - [`greedy_edge`]: cheapest-edge matching into a tour, O(n² log n);
+//! - [`greedy_edge`]: cheapest-edge matching into a tour, O(n²) per
+//!   round; each round selects and sorts only the 4n cheapest edges
+//!   still addable, instead of sorting all n(n−1)/2 once;
 //! - [`mst_preorder`]: MST-doubling shortcut (the textbook metric
 //!   2-approximation), O(n²);
 //! - [`two_opt`]: segment-reversal descent;
@@ -18,9 +20,11 @@
 //! Every function is generic over [`Metric`], so nested `Vec<Vec<f64>>`
 //! matrices and the flat memoized [`DistanceMatrix`] work
 //! interchangeably — with identical float operations, hence identical
-//! tours.
+//! tours. [`build_tour`] copies its input once into a flat
+//! [`DistanceMatrix`] so the construction and both descents index one
+//! table instead of going through a layered view per lookup.
 
-use wrsn_geom::Metric;
+use wrsn_geom::{DistanceMatrix, Metric};
 
 /// Total length of the closed tour `tour` under metric `dist`.
 ///
@@ -67,22 +71,40 @@ pub fn nearest_neighbor<M: Metric + ?Sized>(dist: &M, start: usize) -> Vec<usize
 /// Greedy-edge tour: repeatedly add the globally cheapest edge that keeps
 /// degrees ≤ 2 and creates no premature cycle, then stitch the resulting
 /// Hamiltonian path into a cycle.
+///
+/// Edges are taken in the total order (weight, `i`, `j`) over pairs
+/// `i < j`: equal weights go to the lexicographically smaller pair.
+/// Rather than sorting all n(n−1)/2 edges, each round selects the 4n
+/// cheapest remaining ones, sorts and scans only those, then drops every
+/// edge that can no longer be added (an endpoint at degree 2, or both
+/// endpoints in one fragment). Degrees only grow and fragments only
+/// merge, so a dropped edge would have been skipped anyway and the
+/// accepted edges are those of a full sort, in the same order.
+///
+/// # Panics
+///
+/// Panics if a distance is NaN.
 pub fn greedy_edge<M: Metric + ?Sized>(dist: &M) -> Vec<usize> {
     let n = dist.len();
     if n <= 2 {
         return (0..n).collect();
     }
-    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(n * (n - 1) / 2);
+    // `u32` ends keep an edge at 16 bytes, the size of the index pair the
+    // full sort used to hold, so the weight costs no memory.
+    let idx = |v: usize| u32::try_from(v).expect("greedy edge indexes nodes with u32");
+    let mut edges: Vec<(f64, u32, u32)> = Vec::with_capacity(n * (n - 1) / 2);
     for i in 0..n {
         for j in (i + 1)..n {
-            edges.push((i, j));
+            edges.push((dist.at(i, j), idx(i), idx(j)));
         }
     }
-    edges.sort_by(|&(a, b), &(c, d)| dist.at(a, b).partial_cmp(&dist.at(c, d)).unwrap());
+    let by_key = |x: &(f64, u32, u32), y: &(f64, u32, u32)| {
+        x.0.partial_cmp(&y.0).unwrap().then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2))
+    };
 
     // Union-find for cycle detection.
     let mut uf: Vec<usize> = (0..n).collect();
-    fn find(uf: &mut Vec<usize>, x: usize) -> usize {
+    fn find(uf: &mut [usize], x: usize) -> usize {
         if uf[x] != x {
             let r = find(uf, uf[x]);
             uf[x] = r;
@@ -92,23 +114,48 @@ pub fn greedy_edge<M: Metric + ?Sized>(dist: &M) -> Vec<usize> {
     let mut degree = vec![0usize; n];
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut added = 0;
-    for (u, v) in edges {
+    loop {
+        let take = (4 * n).min(edges.len());
+        assert!(take > 0, "greedy edge ran out of edges before the path closed");
+        if take < edges.len() {
+            edges.select_nth_unstable_by(take, by_key);
+        }
+        // Keys are distinct (the pair breaks weight ties), so an
+        // unstable sort yields the one total order.
+        edges[..take].sort_unstable_by(by_key);
+        for &(_, u, v) in &edges[..take] {
+            let (u, v) = (u as usize, v as usize);
+            if degree[u] >= 2 || degree[v] >= 2 {
+                continue;
+            }
+            let (ru, rv) = (find(&mut uf, u), find(&mut uf, v));
+            if ru == rv {
+                continue;
+            }
+            uf[ru] = rv;
+            degree[u] += 1;
+            degree[v] += 1;
+            adj[u].push(v);
+            adj[v].push(u);
+            added += 1;
+            if added == n - 1 {
+                break;
+            }
+        }
         if added == n - 1 {
             break;
         }
-        if degree[u] >= 2 || degree[v] >= 2 {
-            continue;
+        // Keep only the edges that can still be added.
+        let mut live = 0;
+        for r in take..edges.len() {
+            let (_, u, v) = edges[r];
+            let (u, v) = (u as usize, v as usize);
+            if degree[u] < 2 && degree[v] < 2 && find(&mut uf, u) != find(&mut uf, v) {
+                edges[live] = edges[r];
+                live += 1;
+            }
         }
-        let (ru, rv) = (find(&mut uf, u), find(&mut uf, v));
-        if ru == rv {
-            continue;
-        }
-        uf[ru] = rv;
-        degree[u] += 1;
-        degree[v] += 1;
-        adj[u].push(v);
-        adj[v].push(u);
-        added += 1;
+        edges.truncate(live);
     }
     // Walk the Hamiltonian path from one endpoint.
     let start = (0..n).find(|&v| degree[v] <= 1).expect("path has an endpoint");
@@ -184,7 +231,13 @@ pub fn or_opt<M: Metric + ?Sized>(dist: &M, tour: &mut Vec<usize>, max_passes: u
     if n < 5 {
         return;
     }
+    let mut el = vec![0.0; n];
     for _ in 0..max_passes {
+        // Tour-edge lengths `el[j] = d(tour[j], tour[j+1])`, wrapping. A
+        // pass ends at its first move, so the cache never goes stale.
+        for (j, e) in el.iter_mut().enumerate() {
+            *e = dist.at(tour[j], tour[(j + 1) % n]);
+        }
         let mut improved = false;
         'outer: for seg_len in 1..=3usize {
             for i in 0..n {
@@ -197,7 +250,7 @@ pub fn or_opt<M: Metric + ?Sized>(dist: &M, tour: &mut Vec<usize>, max_passes: u
                 let s0 = tour[i];
                 let s1 = tour[i + seg_len - 1];
                 let q = tour[(i + seg_len) % n];
-                let removal_gain = dist.at(p, s0) + dist.at(s1, q) - dist.at(p, q);
+                let removal_gain = el[prev] + el[i + seg_len - 1] - dist.at(p, q);
                 if removal_gain <= 1e-12 {
                     continue;
                 }
@@ -213,7 +266,7 @@ pub fn or_opt<M: Metric + ?Sized>(dist: &M, tour: &mut Vec<usize>, max_passes: u
                     }
                     let a = tour[j];
                     let b = tour[jn];
-                    let insert_cost = dist.at(a, s0) + dist.at(s1, b) - dist.at(a, b);
+                    let insert_cost = dist.at(a, s0) + dist.at(s1, b) - el[j];
                     if insert_cost < removal_gain - 1e-12 {
                         // Perform the move on a copy to keep indexing simple.
                         let chain: Vec<usize> = tour[i..i + seg_len].to_vec();
@@ -241,34 +294,21 @@ pub fn or_opt<M: Metric + ?Sized>(dist: &M, tour: &mut Vec<usize>, max_passes: u
 
 /// Builds a good closed tour: greedy-edge construction followed by 2-opt
 /// and Or-opt descent. The workhorse used by the planners.
+///
+/// Copies `dist` once into a flat [`DistanceMatrix`] and runs every step
+/// on the copy; its entries equal `dist`'s bit for bit, so the tour is
+/// the one the steps would build on `dist` directly.
 pub fn build_tour<M: Metric + ?Sized>(dist: &M, improvement_passes: usize) -> Vec<usize> {
     let n = dist.len();
     if n <= 3 {
         return (0..n).collect();
     }
-    let mut tour = greedy_edge(dist);
-    two_opt(dist, &mut tour, improvement_passes);
-    or_opt(dist, &mut tour, improvement_passes / 2 + 1);
-    two_opt(dist, &mut tour, improvement_passes / 2 + 1);
+    let flat = DistanceMatrix::from_metric(dist);
+    let mut tour = greedy_edge(&flat);
+    two_opt(&flat, &mut tour, improvement_passes);
+    or_opt(&flat, &mut tour, improvement_passes / 2 + 1);
+    two_opt(&flat, &mut tour, improvement_passes / 2 + 1);
     tour
-}
-
-/// [`build_tour`] on any [`Metric`] — historically a memoized
-/// [`DistanceMatrix`], now also on-demand (sparse) distance sources.
-pub fn build_tour_with_matrix<M: Metric + ?Sized>(
-    dist: &M,
-    improvement_passes: usize,
-) -> Vec<usize> {
-    build_tour(dist, improvement_passes)
-}
-
-/// [`two_opt`] on any [`Metric`] (see [`build_tour_with_matrix`]).
-pub fn two_opt_with_matrix<M: Metric + ?Sized>(
-    dist: &M,
-    tour: &mut [usize],
-    max_passes: usize,
-) {
-    two_opt(dist, tour, max_passes);
 }
 
 /// Returns `true` iff `tour` is a permutation of `0..n`.

@@ -10,11 +10,158 @@ use wrsn_algo::tsp::{
 use wrsn_algo::{
     is_independent_set, is_maximal_independent_set, maximal_independent_set, Graph, MisOrder,
 };
-use wrsn_geom::{dist_matrix, Point};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha12Rng;
+use wrsn_geom::{dist_matrix, DistanceMatrix, Metric, Point, VirtualNodeMetric};
 
 fn arb_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
     proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), min..max)
         .prop_map(|v| v.into_iter().map(|(x, y)| Point::new(x, y)).collect())
+}
+
+/// Points on a 6×6 integer grid: many equal edge weights and duplicate
+/// points (zero-weight edges), so the greedy-edge tie order decides.
+fn arb_grid_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
+    proptest::collection::vec((0u8..6, 0u8..6), min..max).prop_map(|v| {
+        v.into_iter()
+            .map(|(x, y)| Point::new(f64::from(x), f64::from(y)))
+            .collect()
+    })
+}
+
+/// `n` points in `clusters` tight blobs across a 1,000 m field.
+fn clustered(seed: u64, n: usize, clusters: usize) -> Vec<Point> {
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    let centers: Vec<Point> = (0..clusters)
+        .map(|_| Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
+        .collect();
+    (0..n)
+        .map(|i| {
+            let c = centers[i % clusters];
+            Point::new(c.x + rng.gen_range(-20.0..20.0), c.y + rng.gen_range(-20.0..20.0))
+        })
+        .collect()
+}
+
+/// Greedy-edge by a stable full sort of every edge: the reference the
+/// chunked `greedy_edge` must match exactly. Also returns the rank (in
+/// that sorted order) of the last accepted edge, to show how far into
+/// the edge list a construction reaches.
+fn greedy_edge_full_sort<M: Metric + ?Sized>(dist: &M) -> (Vec<usize>, usize) {
+    let n = dist.len();
+    if n <= 2 {
+        return ((0..n).collect(), 0);
+    }
+    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(n * (n - 1) / 2);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            edges.push((i, j));
+        }
+    }
+    edges.sort_by(|&(a, b), &(c, d)| dist.at(a, b).partial_cmp(&dist.at(c, d)).unwrap());
+    let mut uf: Vec<usize> = (0..n).collect();
+    fn find(uf: &mut [usize], x: usize) -> usize {
+        if uf[x] != x {
+            let r = find(uf, uf[x]);
+            uf[x] = r;
+        }
+        uf[x]
+    }
+    let mut degree = vec![0usize; n];
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut added = 0;
+    let mut last_rank = 0;
+    for (rank, (u, v)) in edges.into_iter().enumerate() {
+        if added == n - 1 {
+            break;
+        }
+        if degree[u] >= 2 || degree[v] >= 2 {
+            continue;
+        }
+        let (ru, rv) = (find(&mut uf, u), find(&mut uf, v));
+        if ru == rv {
+            continue;
+        }
+        uf[ru] = rv;
+        degree[u] += 1;
+        degree[v] += 1;
+        adj[u].push(v);
+        adj[v].push(u);
+        added += 1;
+        last_rank = rank;
+    }
+    let start = (0..n).find(|&v| degree[v] <= 1).expect("path has an endpoint");
+    let mut tour = Vec::with_capacity(n);
+    let mut prev = usize::MAX;
+    let mut cur = start;
+    loop {
+        tour.push(cur);
+        match adj[cur].iter().copied().find(|&x| x != prev) {
+            Some(nx) => {
+                prev = cur;
+                cur = nx;
+            }
+            None => break,
+        }
+    }
+    (tour, last_rank)
+}
+
+/// A clustered instance reaches far past the first 4n edges, so the
+/// chunked construction runs several select-and-drop rounds — and still
+/// matches the full sort.
+#[test]
+fn greedy_edge_matches_full_sort_across_chunk_rounds() {
+    for (seed, n, clusters) in [(1u64, 300usize, 4usize), (2, 450, 7), (3, 200, 1)] {
+        let d = DistanceMatrix::from_points(&clustered(seed, n, clusters));
+        let (oracle, last_rank) = greedy_edge_full_sort(&d);
+        assert!(last_rank >= 4 * n, "seed {seed}: last accepted rank {last_rank} < 4n");
+        assert_eq!(greedy_edge(&d), oracle, "seed {seed}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Chunked greedy-edge returns the full-sort tour on random points.
+    #[test]
+    fn greedy_edge_matches_full_sort_on_random_points(pts in arb_points(0, 120)) {
+        let d = dist_matrix(&pts);
+        prop_assert_eq!(greedy_edge(&d), greedy_edge_full_sort(&d).0);
+    }
+
+    /// ... and on grid/duplicate points, where weight ties are the rule.
+    #[test]
+    fn greedy_edge_matches_full_sort_on_ties(pts in arb_grid_points(0, 150)) {
+        let d = dist_matrix(&pts);
+        prop_assert_eq!(greedy_edge(&d), greedy_edge_full_sort(&d).0);
+    }
+
+    /// ... and on clustered instances of hundreds of points, which take
+    /// more than one select-and-drop round.
+    #[test]
+    fn greedy_edge_matches_full_sort_on_clusters(
+        seed in 0u64..1_000_000,
+        n in 200usize..500,
+        clusters in 1usize..8,
+    ) {
+        let d = DistanceMatrix::from_points(&clustered(seed, n, clusters));
+        prop_assert_eq!(greedy_edge(&d), greedy_edge_full_sort(&d).0);
+    }
+
+    /// `build_tour` over the borrowed depot view equals `build_tour` over
+    /// the materialized extension: the flat copy it makes is exact.
+    #[test]
+    fn build_tour_same_over_view_and_materialized_depot(
+        pts in arb_points(0, 80),
+        dx in 0.0f64..100.0,
+        dy in 0.0f64..100.0,
+    ) {
+        let m = DistanceMatrix::from_points(&pts);
+        let depot: Vec<f64> = pts.iter().map(|p| p.dist(Point::new(dx, dy))).collect();
+        let view = VirtualNodeMetric::new(&m, &depot);
+        prop_assert_eq!(build_tour(&view, 20), build_tour(&m.with_virtual_node(&depot), 20));
+    }
 }
 
 proptest! {

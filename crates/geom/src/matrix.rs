@@ -168,6 +168,20 @@ impl DistanceMatrix {
         DistanceMatrix { n, data }
     }
 
+    /// A flat copy of any [`Metric`]: reads `m.at(i, j)` for every
+    /// ordered pair (no symmetry assumed), so `at` on the copy returns
+    /// the source's value bit for bit. Lets hot loops over a layered
+    /// view (e.g. [`VirtualNodeMetric`]) pay one branch-free index per
+    /// lookup instead of the view's dispatch.
+    pub fn from_metric<M: Metric + ?Sized>(m: &M) -> DistanceMatrix {
+        let n = m.len();
+        let mut data = Vec::with_capacity(n * n);
+        for i in 0..n {
+            data.extend((0..n).map(|j| m.at(i, j)));
+        }
+        DistanceMatrix { n, data }
+    }
+
     /// The sub-matrix over `indices`, copying entries verbatim (so
     /// gathered distances are bit-identical to the parent's).
     ///
@@ -448,6 +462,25 @@ mod tests {
                 assert_eq!(view.at(i, j).to_bits(), owned.at(i, j).to_bits(), "({i},{j})");
             }
         }
+    }
+
+    #[test]
+    fn from_metric_copies_every_ordered_pair() {
+        let pts = random_points(19, 7);
+        let m = DistanceMatrix::from_points(&pts);
+        let extra: Vec<f64> = (0..7).map(|i| 0.5 * i as f64 + 2.0).collect();
+        let view = VirtualNodeMetric::new(&m, &extra);
+        assert_eq!(DistanceMatrix::from_metric(&view), m.with_virtual_node(&extra));
+        // No symmetry assumed: an asymmetric source is copied as is.
+        let skew: Vec<Vec<f64>> =
+            (0..4).map(|i| (0..4).map(|j| (3 * i + j) as f64).collect()).collect();
+        let flat = DistanceMatrix::from_metric(&skew);
+        for (i, row) in skew.iter().enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                assert_eq!(flat.at(i, j).to_bits(), x.to_bits(), "({i},{j})");
+            }
+        }
+        assert!(Metric::is_empty(&DistanceMatrix::from_metric(&Vec::<Vec<f64>>::new())));
     }
 
     #[test]
